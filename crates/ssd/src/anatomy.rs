@@ -47,7 +47,7 @@
 //! the `anatomy` experiment gate proves byte-identity.
 
 use crate::metrics::LatencyHistogram;
-use crate::trace::{ReqKind, RequestTrace, ResourceId, SpanKind};
+use crate::trace::{ReqKind, RequestTrace, ResourceId, SpanKind, TraceEvent};
 use evanesco_ftl::{Lpa, OpCause};
 use evanesco_nand::timing::Nanos;
 use std::collections::{BTreeMap, VecDeque};
@@ -261,19 +261,80 @@ struct Pending {
 
 /// One interval of the per-resource occupancy timeline (interference
 /// commands only — host service never blames a wait).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct OccSlot {
     start: Nanos,
     end: Nanos,
+    /// Insertion sequence number on this resource.
+    seq: u64,
     stage: Stage,
     kind: SpanKind,
     cause: OpCause,
 }
 
-/// Per-resource occupancy ring bound. Old intervals are only consulted
+/// Per-resource occupancy window bound. Old intervals are only consulted
 /// by waits that overlap them, so a bounded recent window suffices;
 /// overflow is counted in [`AnatomyRecorder::occupancy_dropped`].
 const OCC_CAP: usize = 4096;
+
+/// One resource's occupancy timeline: the most recent `OCC_CAP` slots,
+/// evicted oldest-inserted first, indexed by `(start, seq)` so a wait
+/// visits only the slots that can reach it.
+#[derive(Debug, Clone, Default)]
+struct Occupancy {
+    /// Start times in insertion order (the eviction queue); the front
+    /// slot's sequence number is `next_seq - fifo.len()`.
+    fifo: VecDeque<Nanos>,
+    /// The same slots, sorted by `(start, seq)`.
+    by_start: VecDeque<OccSlot>,
+    /// Longest slot duration ever inserted: no slot starting before
+    /// `t - max_dur` reaches past `t`.
+    max_dur: Nanos,
+    next_seq: u64,
+}
+
+impl Occupancy {
+    /// Inserts `e`, blamed as `stage`; returns true when the window was
+    /// full and the oldest-inserted slot was evicted to make room.
+    fn push(&mut self, e: &TraceEvent, stage: Stage) -> bool {
+        let evicted = self.fifo.len() == OCC_CAP;
+        if evicted {
+            let seq = self.next_seq - OCC_CAP as u64;
+            let key = (self.fifo.pop_front().expect("window full"), seq);
+            let at = self
+                .by_start
+                .binary_search_by_key(&key, |s| (s.start, s.seq))
+                .expect("evicted slot is indexed");
+            self.by_start.remove(at);
+        }
+        let (start, seq) = (e.start, self.next_seq);
+        self.next_seq += 1;
+        self.max_dur = self.max_dur.max(e.end - start);
+        let at = self.by_start.partition_point(|s| (s.start, s.seq) < (start, seq));
+        let slot = OccSlot { start, end: e.end, seq, stage, kind: e.kind, cause: e.cause };
+        self.by_start.insert(at, slot);
+        self.fifo.push_back(start);
+        evicted
+    }
+
+    /// Fills `out` with every retained slot overlapping `[start, end)`,
+    /// clipped to the wait, in insertion order.
+    fn overlapping(&self, start: Nanos, end: Nanos, out: &mut Vec<OccSlot>) {
+        out.clear();
+        let from = (start.saturating_sub(self.max_dur), 0);
+        let lo = self.by_start.partition_point(|s| (s.start, s.seq) < from);
+        for slot in self.by_start.range(lo..) {
+            if slot.start >= end {
+                break;
+            }
+            let (a, b) = (slot.start.max(start), slot.end.min(end));
+            if b > a {
+                out.push(OccSlot { start: a, end: b, ..*slot });
+            }
+        }
+        out.sort_unstable_by_key(|s| s.seq);
+    }
+}
 
 /// Bounded per-request latency-anatomy recorder.
 ///
@@ -286,8 +347,12 @@ pub struct AnatomyRecorder {
     top_k: usize,
     pending: VecDeque<Pending>,
     resolved: VecDeque<RequestAnatomy>,
-    occupancy: BTreeMap<ResourceId, VecDeque<OccSlot>>,
+    occupancy: BTreeMap<ResourceId, Occupancy>,
     occ_dropped: u64,
+    /// Scratch: one wait's overlapping slots.
+    hits: Vec<OccSlot>,
+    /// Scratch: a trace's event indices in start order.
+    by_start: Vec<usize>,
     recorded: u64,
     dropped: u64,
     /// Total stage time per request kind, across every recorded row.
@@ -315,6 +380,8 @@ impl AnatomyRecorder {
             resolved: VecDeque::with_capacity(capacity.min(4096)),
             occupancy: BTreeMap::new(),
             occ_dropped: 0,
+            hits: Vec::new(),
+            by_start: Vec::new(),
             recorded: 0,
             dropped: 0,
             totals: [[Nanos::ZERO; Stage::COUNT]; REQ_KINDS.len()],
@@ -386,6 +453,9 @@ impl AnatomyRecorder {
         let mut stages = [Nanos::ZERO; Stage::COUNT];
         let mut chain: Vec<ChainLink> = Vec::new();
         let mut waits: Vec<PendingWait> = Vec::new();
+        // Waits come in time order, so one forward cursor over the
+        // start-ordered events finds each wait's next own command.
+        let mut next_own = NextOwn::new(&t.events, &mut self.by_start);
         for seg in &t.segments {
             match seg.kind {
                 SpanKind::QueueWait | SpanKind::Wait => {
@@ -426,7 +496,7 @@ impl AnatomyRecorder {
                             waits.push(PendingWait {
                                 start: a,
                                 end: b,
-                                resource: next_own_resource(t, b),
+                                resource: next_own.resource(b),
                             });
                         }
                     }
@@ -462,18 +532,10 @@ impl AnatomyRecorder {
         // occupancy timeline, so neighbors' waits can be blamed on it.
         for e in &t.events {
             if let Some(stage) = interference_of(e.kind, e.cause) {
-                let ring = self.occupancy.entry(e.resource).or_default();
-                if ring.len() == OCC_CAP {
-                    ring.pop_front();
+                let occ = self.occupancy.entry(e.resource).or_default();
+                if occ.push(e, stage) {
                     self.occ_dropped += 1;
                 }
-                ring.push_back(OccSlot {
-                    start: e.start,
-                    end: e.end,
-                    stage,
-                    kind: e.kind,
-                    cause: e.cause,
-                });
             }
         }
         let row = RequestAnatomy {
@@ -511,28 +573,24 @@ impl AnatomyRecorder {
         let Pending { mut row, waits } = p;
         for w in &waits {
             let Some(res) = w.resource else { continue };
-            let Some(ring) = self.occupancy.get(&res) else { continue };
-            for slot in ring {
-                let a = slot.start.max(w.start);
-                let b = slot.end.min(w.end);
-                if b <= a {
-                    continue;
-                }
+            let Some(occ) = self.occupancy.get(&res) else { continue };
+            occ.overlapping(w.start, w.end, &mut self.hits);
+            for hit in &self.hits {
                 // Reclassify: the blocking resource was held by an
-                // interference-class command for [a, b). Occupancy
-                // intervals on a serial resource are disjoint, so the
-                // reclassified total never exceeds the wait.
-                let dur = b - a;
+                // interference-class command for the clipped interval.
+                // Occupancy intervals on a serial resource are disjoint,
+                // so the reclassified total never exceeds the wait.
+                let dur = hit.end - hit.start;
                 row.stages[Stage::DispatchStall.idx()] =
                     row.stages[Stage::DispatchStall.idx()] - dur;
-                row.stages[slot.stage.idx()] += dur;
+                row.stages[hit.stage.idx()] += dur;
                 row.chain.push(ChainLink {
-                    stage: slot.stage,
-                    kind: slot.kind,
-                    cause: slot.cause,
+                    stage: hit.stage,
+                    kind: hit.kind,
+                    cause: hit.cause,
                     resource: Some(res),
-                    start: a,
-                    end: b,
+                    start: hit.start,
+                    end: hit.end,
                     own: false,
                 });
             }
@@ -552,10 +610,14 @@ impl AnatomyRecorder {
             self.totals[k][s.idx()] += row.stages[s.idx()];
             self.hists[k][s.idx()].record(row.stages[s.idx()]);
         }
-        // Top-K insert: (e2e desc, trace id asc).
-        self.top.push(row.clone());
-        self.top.sort_by_key(|r| (std::cmp::Reverse(r.e2e()), r.trace_id));
-        self.top.truncate(self.top_k);
+        // Top-K insert: (e2e desc, trace id asc). Only a row that beats
+        // the current K-th entry is cloned; it goes after its equals.
+        let key = |r: &RequestAnatomy| (std::cmp::Reverse(r.e2e()), r.trace_id);
+        if self.top.len() < self.top_k || self.top.last().is_some_and(|l| key(&row) < key(l)) {
+            let at = self.top.partition_point(|r| key(r) <= key(&row));
+            self.top.insert(at, row.clone());
+            self.top.truncate(self.top_k);
+        }
         if self.resolved.len() == self.capacity {
             self.resolved.pop_front();
             self.dropped += 1;
@@ -564,11 +626,34 @@ impl AnatomyRecorder {
     }
 }
 
-/// The resource of the request's next own command starting at or after
-/// `at` — the resource the request was actually blocked on during a wait
-/// ending at `at`. `None` when no own command follows (trailing wait).
-fn next_own_resource(t: &RequestTrace, at: Nanos) -> Option<ResourceId> {
-    t.events.iter().filter(|e| e.start >= at).min_by_key(|e| e.start).map(|e| e.resource)
+/// Forward cursor over a trace's events in start order (ties in issue
+/// order), answering "next own command at or after `at`" for
+/// nondecreasing `at`.
+struct NextOwn<'a> {
+    events: &'a [TraceEvent],
+    by_start: &'a [usize],
+    at: usize,
+}
+
+impl<'a> NextOwn<'a> {
+    /// A cursor at the first of `events`, ordering them in `scratch`.
+    fn new(events: &'a [TraceEvent], scratch: &'a mut Vec<usize>) -> Self {
+        scratch.clear();
+        scratch.extend(0..events.len());
+        scratch.sort_by_key(|&i| events[i].start);
+        NextOwn { events, by_start: scratch, at: 0 }
+    }
+
+    /// The resource of the request's next own command starting at or
+    /// after `at` — the resource the request was actually blocked on
+    /// during a wait ending at `at`. `None` when no own command follows
+    /// (trailing wait).
+    fn resource(&mut self, at: Nanos) -> Option<ResourceId> {
+        while self.by_start.get(self.at).is_some_and(|&i| self.events[i].start < at) {
+            self.at += 1;
+        }
+        self.by_start.get(self.at).map(|&i| self.events[i].resource)
+    }
 }
 
 #[cfg(test)]
@@ -729,6 +814,140 @@ mod tests {
         // Top-K: the three slowest, slowest first, despite eviction.
         let tops: Vec<u64> = a.top().iter().map(|r| r.e2e().0).collect();
         assert_eq!(tops, vec![1000, 900, 800]);
+    }
+
+    /// Deterministic xorshift stream for the differential tests.
+    fn rng(seed: u64) -> impl FnMut(u64) -> u64 {
+        let mut x = seed | 1;
+        move |n| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        }
+    }
+
+    /// The linear lookup the index replaced: every slot of the FIFO ring,
+    /// clipped to the wait, in ring order.
+    fn overlapping_scan(ring: &VecDeque<OccSlot>, start: Nanos, end: Nanos) -> Vec<OccSlot> {
+        ring.iter()
+            .filter_map(|slot| {
+                let (a, b) = (slot.start.max(start), slot.end.min(end));
+                (b > a).then_some(OccSlot { start: a, end: b, ..*slot })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn indexed_lookup_matches_the_ring_scan() {
+        const KINDS: [(SpanKind, OpCause); 4] = [
+            (SpanKind::PLock, OpCause::Sanitize),
+            (SpanKind::BLock, OpCause::Sanitize),
+            (SpanKind::Program, OpCause::Gc),
+            (SpanKind::Erase, OpCause::Gc),
+        ];
+        let mut rnd = rng(0xD1FF_0CC0);
+        for case in 0..6u64 {
+            let mut occ = Occupancy::default();
+            let mut ring: VecDeque<OccSlot> = VecDeque::new();
+            let mut evicted = 0u64;
+            // Up to 2.5x the window: eviction runs in the later cases.
+            let n = 1000 + case * OCC_CAP as u64 / 2;
+            for seq in 0..n {
+                // Starts drift forward but arrive out of order, slots
+                // overlap freely, and a rare long slot widens `max_dur`.
+                let start = seq * 3 + rnd(200);
+                let dur = if rnd(50) == 0 { 500 + rnd(5000) } else { 1 + rnd(40) };
+                let (kind, cause) = KINDS[rnd(4) as usize];
+                let stage = interference_of(kind, cause).expect("interference kind");
+                let e = ev(kind, cause, ResourceId::Chip(0), start, start + dur);
+                if occ.push(&e, stage) {
+                    evicted += 1;
+                }
+                if ring.len() == OCC_CAP {
+                    ring.pop_front();
+                }
+                ring.push_back(OccSlot { start: e.start, end: e.end, seq, stage, kind, cause });
+                if seq % 37 == 0 {
+                    let ws = Nanos(seq * 3 - rnd(seq * 3 + 1).min(6000));
+                    let we = ws + Nanos(rnd(400));
+                    let mut got = Vec::new();
+                    occ.overlapping(ws, we, &mut got);
+                    let want = overlapping_scan(&ring, ws, we);
+                    assert_eq!(got, want, "case {case}, after slot {seq}, wait [{ws:?}, {we:?})");
+                }
+            }
+            assert_eq!(evicted, n.saturating_sub(OCC_CAP as u64), "case {case}: eviction count");
+            assert_eq!(occ.by_start.len(), ring.len());
+        }
+    }
+
+    /// The per-wait scan the cursor replaced.
+    fn next_own_scan(t: &RequestTrace, at: Nanos) -> Option<ResourceId> {
+        t.events.iter().filter(|e| e.start >= at).min_by_key(|e| e.start).map(|e| e.resource)
+    }
+
+    #[test]
+    fn next_own_cursor_matches_the_scan() {
+        let mut rnd = rng(0x0E7E_0A07);
+        let mut tr = TraceRecorder::new(1);
+        for case in 0..2000 {
+            // Events share start times on different resources, so the
+            // issue-order tiebreak matters.
+            let events: Vec<TraceEvent> = (0..rnd(10))
+                .map(|_| {
+                    let start = rnd(30);
+                    ev(
+                        SpanKind::Read,
+                        OpCause::Host,
+                        ResourceId::Chip(rnd(4) as usize),
+                        start,
+                        start + 1 + rnd(10),
+                    )
+                })
+                .collect();
+            let t = tr.record(ReqKind::Read, 0, 1, true, Nanos(0), Nanos(0), Nanos(45), events);
+            let mut scratch = Vec::new();
+            let mut cursor = NextOwn::new(&t.events, &mut scratch);
+            let mut at = 0;
+            while at < 45 {
+                assert_eq!(cursor.resource(Nanos(at)), next_own_scan(t, Nanos(at)), "case {case}");
+                at += rnd(4);
+            }
+        }
+    }
+
+    #[test]
+    fn topk_insert_matches_sort_and_truncate() {
+        let mut rnd = rng(0x7095);
+        for top_k in [0usize, 1, 3, 8] {
+            let mut a = AnatomyRecorder::new(4, top_k);
+            let mut want: Vec<RequestAnatomy> = Vec::new();
+            for i in 0..400u64 {
+                // Few distinct latencies and reused trace ids: ties on
+                // the full key must keep insertion order, as a stable
+                // sort does.
+                let trace_id = rnd(40);
+                let end = Nanos(100 * (1 + rnd(6)));
+                let row = RequestAnatomy {
+                    trace_id,
+                    req_idx: Some(i as usize),
+                    kind: ReqKind::Read,
+                    lpa: 0,
+                    npages: 1,
+                    acked: true,
+                    submit: Nanos::ZERO,
+                    end,
+                    stages: [Nanos::ZERO; Stage::COUNT],
+                    chain: Vec::new(),
+                };
+                want.push(row.clone());
+                want.sort_by_key(|r| (std::cmp::Reverse(r.e2e()), r.trace_id));
+                want.truncate(top_k);
+                a.resolve_one(Pending { row, waits: Vec::new() });
+                assert_eq!(a.top(), &want[..], "top-{top_k} after row {i}");
+            }
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 use crate::jsonlite::{escape, Json};
 use evanesco_ftl::{Lpa, OpCause};
 use evanesco_nand::timing::Nanos;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 
 /// What a traced interval was spent on. Doubles as the segment class of
 /// the derived per-request timeline.
@@ -79,8 +79,10 @@ impl SpanKind {
         SpanKind::Erase,
     ];
 
+    /// Position in [`SpanKind::ALL`]: the declaration order *is* the
+    /// priority order, so the discriminant is the priority.
     fn priority(self) -> usize {
-        SpanKind::ALL.iter().position(|&k| k == self).unwrap()
+        self as usize
     }
 }
 
@@ -433,21 +435,44 @@ fn meta_str(pid: u64, tid: Option<u64>, name: &str, value: &str) -> String {
 /// earliest)` is queue wait; each slice of `[earliest, end)` takes the
 /// highest-priority event kind covering it, or `Wait` when no resource
 /// was working for the request. Adjacent same-kind slices merge.
+///
+/// A boundary sweep: events enter a max-heap at their clipped start and
+/// leave it lazily once their clipped end is behind the sweep, so a
+/// request with `E` events costs `O(E log E)`.
 fn segment(submit: Nanos, earliest: Nanos, end: Nanos, events: &[TraceEvent]) -> Vec<Segment> {
     let mut out: Vec<Segment> = Vec::new();
-    let mut push = |kind: SpanKind, cause: OpCause, start: Nanos, stop: Nanos| {
-        if stop <= start {
-            return;
+    push_segment(&mut out, SpanKind::QueueWait, OpCause::Host, submit, earliest);
+    let clip = |t: Nanos| t.clamp(earliest, end);
+    let bounds = slice_bounds(earliest, end, events);
+    let mut by_start: Vec<usize> = (0..events.len()).collect();
+    by_start.sort_unstable_by_key(|&i| clip(events[i].start));
+    let mut entering = by_start.into_iter().peekable();
+    // Highest-priority covering event wins the slice; on a kind tie the
+    // host-caused command wins (time under the request's own command is
+    // service, not interference, even if background work overlaps), and
+    // on a full tie the later event — the scan's `max_by_key` order.
+    let mut live: BinaryHeap<(usize, bool, usize)> = BinaryHeap::new();
+    for w in bounds.windows(2) {
+        let (a, b) = (w[0], w[1]);
+        while let Some(i) = entering.next_if(|&i| clip(events[i].start) <= a) {
+            live.push((events[i].kind.priority(), events[i].cause == OpCause::Host, i));
         }
-        if let Some(last) = out.last_mut() {
-            if last.kind == kind && last.cause == cause && last.end == start {
-                last.end = stop;
-                return;
-            }
+        // Clipped ends are boundaries, so an event still covers `[a, b)`
+        // exactly when its clipped end lies past `a`.
+        while live.peek().is_some_and(|&(_, _, i)| clip(events[i].end) <= a) {
+            live.pop();
         }
-        out.push(Segment { kind, cause, start, end: stop });
-    };
-    push(SpanKind::QueueWait, OpCause::Host, submit, earliest);
+        let (kind, cause) = live.peek().map_or((SpanKind::Wait, OpCause::Host), |&(_, _, i)| {
+            (events[i].kind, events[i].cause)
+        });
+        push_segment(&mut out, kind, cause, a, b);
+    }
+    out
+}
+
+/// The sorted, deduplicated slice boundaries of `[earliest, end)`: the
+/// window edges plus every event edge clipped into the window.
+fn slice_bounds(earliest: Nanos, end: Nanos, events: &[TraceEvent]) -> Vec<Nanos> {
     let mut bounds: Vec<Nanos> = Vec::with_capacity(events.len() * 2 + 2);
     bounds.push(earliest);
     bounds.push(end);
@@ -457,20 +482,22 @@ fn segment(submit: Nanos, earliest: Nanos, end: Nanos, events: &[TraceEvent]) ->
     }
     bounds.sort_unstable();
     bounds.dedup();
-    for w in bounds.windows(2) {
-        let (a, b) = (w[0], w[1]);
-        // Highest-priority covering event wins the slice; on a kind tie the
-        // host-caused command wins (time under the request's own command is
-        // service, not interference, even if background work overlaps).
-        let (kind, cause) = events
-            .iter()
-            .filter(|e| e.start <= a && e.end >= b)
-            .map(|e| (e.kind, e.cause))
-            .max_by_key(|&(k, c)| (k.priority(), c == OpCause::Host))
-            .unwrap_or((SpanKind::Wait, OpCause::Host));
-        push(kind, cause, a, b);
+    bounds
+}
+
+/// Appends `[start, stop)` as a segment, merging it into the previous one
+/// when kind and cause match and the two touch; empty slices are dropped.
+fn push_segment(out: &mut Vec<Segment>, kind: SpanKind, cause: OpCause, start: Nanos, stop: Nanos) {
+    if stop <= start {
+        return;
     }
-    out
+    if let Some(last) = out.last_mut() {
+        if last.kind == kind && last.cause == cause && last.end == start {
+            last.end = stop;
+            return;
+        }
+    }
+    out.push(Segment { kind, cause, start, end: stop });
 }
 
 /// Validates a chrome trace export against the checked-in schema (see
@@ -724,6 +751,82 @@ mod tests {
         let json = rec.to_chrome_json();
         assert!(json.contains("\"cause\":\"gc\""));
         assert!(json.contains("\"cause\":\"sanitize\""));
+    }
+
+    #[test]
+    fn priority_is_the_position_in_all() {
+        for (i, k) in SpanKind::ALL.into_iter().enumerate() {
+            assert_eq!(k.priority(), i, "{k:?} is declared out of priority order");
+        }
+    }
+
+    /// The per-slice scan the sweep replaced: every slice filters every
+    /// event (`O(E^2)`), kept as the reference the sweep must match.
+    fn segment_scan(
+        submit: Nanos,
+        earliest: Nanos,
+        end: Nanos,
+        events: &[TraceEvent],
+    ) -> Vec<Segment> {
+        let mut out: Vec<Segment> = Vec::new();
+        push_segment(&mut out, SpanKind::QueueWait, OpCause::Host, submit, earliest);
+        let bounds = slice_bounds(earliest, end, events);
+        for w in bounds.windows(2) {
+            let (a, b) = (w[0], w[1]);
+            let (kind, cause) = events
+                .iter()
+                .filter(|e| e.start <= a && e.end >= b)
+                .map(|e| (e.kind, e.cause))
+                .max_by_key(|&(k, c)| (k.priority(), c == OpCause::Host))
+                .unwrap_or((SpanKind::Wait, OpCause::Host));
+            push_segment(&mut out, kind, cause, a, b);
+        }
+        out
+    }
+
+    #[test]
+    fn sweep_matches_the_scan_on_random_event_sets() {
+        const CAUSES: [OpCause; 4] =
+            [OpCause::Host, OpCause::Gc, OpCause::Sanitize, OpCause::Retry];
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut rnd = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        for case in 0..20_000 {
+            // A narrow time range forces shared edges, nested and equal
+            // intervals, and kind ties between host and background causes.
+            // Few kinds on half the cases make exact (kind, cause) ties
+            // common; events may be empty or stick out of the window, and
+            // the window itself may be empty.
+            let span = 4 + rnd(40);
+            let events: Vec<TraceEvent> = (0..rnd(14))
+                .map(|_| {
+                    let start = rnd(span + 8);
+                    TraceEvent {
+                        kind: if case % 2 == 0 {
+                            SpanKind::ALL[4 + rnd(2) as usize]
+                        } else {
+                            SpanKind::ALL[rnd(10) as usize]
+                        },
+                        cause: CAUSES[rnd(4) as usize],
+                        resource: ResourceId::Chip(rnd(3) as usize),
+                        start: Nanos(start),
+                        end: Nanos(start + rnd(span / 2 + 1)),
+                    }
+                })
+                .collect();
+            let submit = Nanos(rnd(span));
+            let earliest = submit + Nanos(rnd(8));
+            let end = earliest + Nanos(rnd(span));
+            assert_eq!(
+                segment(submit, earliest, end, &events),
+                segment_scan(submit, earliest, end, &events),
+                "case {case}: window [{submit:?}, {earliest:?}, {end:?}) events {events:?}"
+            );
+        }
     }
 
     #[test]
